@@ -11,14 +11,25 @@ on a cheap corpus fingerprint (per-file mtime/size), so the CLI, the
 site views, the analytics, and the serving layer all share one parsed
 corpus instead of re-parsing 38 Markdown files per construction; edits to
 the content directory invalidate the cache automatically.
+
+:func:`scan_content` is the one definition of "changed" in the repo:
+one ``os.scandir`` pass mapping every ``*.md`` file name to its
+``(mtime_ns, size)`` stamp.  The default-catalog memo, the serving
+layer's rebuild check and the lint engine's content pass all call it.
+:func:`load_sources` turns a scan into parsed :class:`Source` entries
+(the :class:`Activity` and its site :class:`Page`), carrying forward
+every entry of a previous load whose stamp did not change, so an
+incremental rebuild parses only the files that were added or edited.
 """
 
 from __future__ import annotations
 
+import os
 import threading
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Mapping
 
 from repro.activities.parser import parse_activity, parse_activity_file
 from repro.activities.schema import Activity, validate
@@ -26,7 +37,74 @@ from repro.errors import ActivityError, ValidationError
 from repro.sitegen.site import Page, Site, SiteConfig
 from repro.sitegen.taxonomy import TaxonomyIndex
 
-__all__ = ["Catalog", "load_default_catalog", "corpus_dir", "clear_corpus_cache"]
+__all__ = ["Catalog", "Source", "load_default_catalog", "load_sources",
+           "corpus_dir", "clear_corpus_cache", "scan_content"]
+
+#: ``name -> (mtime_ns, size)`` for every ``*.md`` file of a content dir.
+Scan = dict[str, tuple[int, int]]
+
+
+def scan_content(directory: str | Path) -> Scan:
+    """Fingerprint a content tree: file name -> (mtime_ns, size).
+
+    One ``os.scandir`` pass with one ``stat`` per matching entry.  It
+    selects exactly what ``Path(directory).glob("*.md")`` selects: every
+    entry whose name ends in ``.md`` (dotfiles and directories included,
+    matched case-sensitively), and nothing when the directory is missing
+    or unreadable.  Names come back sorted.
+    """
+    try:
+        entries = os.scandir(directory)
+    except OSError:
+        return {}
+    with entries:
+        found = [(entry.name, entry.stat()) for entry in entries
+                 if entry.name.endswith(".md")]
+    found.sort(key=lambda item: item[0])
+    return {name: (st.st_mtime_ns, st.st_size) for name, st in found}
+
+
+def activity_page(activity: Activity) -> Page:
+    """The site :class:`Page` of an activity (its canonical written form)."""
+    from repro.activities.writer import write_activity
+
+    return Page.from_text(activity.name, write_activity(activity))
+
+
+@dataclass(frozen=True)
+class Source:
+    """One parsed content file: its scan stamp, activity and site page."""
+
+    stamp: tuple[int, int]
+    activity: Activity
+    page: Page
+
+
+def load_sources(directory: str | Path, scan: Scan | None = None,
+                 previous: Mapping[str, Source] | None = None
+                 ) -> dict[str, Source]:
+    """Parse the files of ``scan`` (default: a fresh scan of ``directory``).
+
+    An entry of ``previous`` whose stamp equals the scan's is carried
+    forward as is; every other file is read and parsed.  A cold load is
+    the same call with no ``previous``.  The returned dict holds exactly
+    the scanned files, in scan (name) order.  Parse errors propagate, so
+    a caller that keeps ``previous`` on failure retries the same files.
+    """
+    directory = Path(directory)
+    if not directory.is_dir():
+        raise ActivityError(f"no such content directory: {directory}")
+    if scan is None:
+        scan = scan_content(directory)
+    previous = previous or {}
+    sources: dict[str, Source] = {}
+    for name, stamp in scan.items():
+        source = previous.get(name)
+        if source is None or source.stamp != stamp:
+            activity = parse_activity_file(directory / name)
+            source = Source(stamp, activity, activity_page(activity))
+        sources[name] = source
+    return sources
 
 
 class Catalog:
@@ -35,25 +113,32 @@ class Catalog:
     def __init__(self, activities: Iterable[Activity] = ()):
         self._activities: list[Activity] = []
         self._by_name: dict[str, Activity] = {}
+        # Site pages already derived from loaded sources (see site()).
+        self._pages: dict[str, Page] = {}
         for activity in activities:
             self.add(activity)
 
     # -- construction --------------------------------------------------------
 
-    def add(self, activity: Activity) -> None:
+    def add(self, activity: Activity, page: Page | None = None) -> None:
+        """Append an activity; ``page`` is its :func:`activity_page`, if known."""
         if activity.name in self._by_name:
             raise ActivityError(f"duplicate activity {activity.name!r}")
         self._activities.append(activity)
         self._by_name[activity.name] = activity
+        if page is not None:
+            self._pages[activity.name] = page
 
     @classmethod
     def from_directory(cls, directory: str | Path) -> "Catalog":
-        directory = Path(directory)
-        if not directory.is_dir():
-            raise ActivityError(f"no such content directory: {directory}")
+        return cls.from_sources(load_sources(directory).values())
+
+    @classmethod
+    def from_sources(cls, sources: Iterable[Source]) -> "Catalog":
+        """A catalog over parsed sources, reusing their pages in :meth:`site`."""
         catalog = cls()
-        for path in sorted(directory.glob("*.md")):
-            catalog.add(parse_activity_file(path))
+        for source in sources:
+            catalog.add(source.activity, source.page)
         return catalog
 
     @classmethod
@@ -138,12 +223,10 @@ class Catalog:
 
     def site(self, config: SiteConfig | None = None) -> Site:
         """Build a renderable :class:`Site` whose pages are the activities."""
-        from repro.activities.writer import write_activity
-
         site = Site(config)
         for activity in self._activities:
-            text = write_activity(activity)
-            site.add_page(Page.from_text(activity.name, text))
+            page = self._pages.get(activity.name)
+            site.add_page(page if page is not None else activity_page(activity))
         return site
 
 
@@ -181,16 +264,8 @@ def corpus_dir() -> Path:
 
 _cache_lock = threading.Lock()
 _cached_catalog: Catalog | None = None
-_cached_fingerprint: tuple | None = None
+_cached_fingerprint: Scan | None = None
 _cached_validated: bool = False
-
-
-def _corpus_fingerprint(directory: Path) -> tuple:
-    """Cheap change detector: (name, mtime_ns, size) per corpus file."""
-    return tuple(
-        (path.name, path.stat().st_mtime_ns, path.stat().st_size)
-        for path in sorted(directory.glob("*.md"))
-    )
 
 
 def clear_corpus_cache() -> None:
@@ -220,10 +295,11 @@ def load_default_catalog(validate_corpus: bool = True,
         return catalog
 
     directory = corpus_dir()
-    fingerprint = _corpus_fingerprint(directory)
+    fingerprint = scan_content(directory)
     with _cache_lock:
         if _cached_catalog is None or _cached_fingerprint != fingerprint:
-            _cached_catalog = Catalog.from_directory(directory)
+            _cached_catalog = Catalog.from_sources(
+                load_sources(directory, fingerprint).values())
             _cached_fingerprint = fingerprint
             _cached_validated = False
         if validate_corpus and not _cached_validated:

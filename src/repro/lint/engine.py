@@ -1,12 +1,15 @@
 """The lint engine: incremental, parallel, deterministic.
 
-Incrementality uses the same content fingerprint the activity catalog and
-the serve layer's rebuild scanner key on — ``(name, mtime_ns, size)`` per
-file — so all three subsystems agree about what "changed" means.  The
-per-file cache stores *raw* diagnostics (rule-default severities) plus
-the distilled :class:`~repro.lint.document.DocumentInfo` and the file's
-suppression comments; severity overrides, disabled rules, and suppression
-filtering are applied at report time, so reconfiguring the linter never
+Incrementality keys content files on
+:func:`~repro.activities.catalog.scan_content` — the one scan the
+activity catalog and the serve layer's rebuild check also call — as a
+``(name, mtime_ns, size)`` fingerprint per file, so all three subsystems
+agree about what "changed" means; code files get the same fingerprint
+from one ``stat`` each.  The per-file cache stores *raw* diagnostics
+(rule-default severities) plus the distilled
+:class:`~repro.lint.document.DocumentInfo` and the file's suppression
+comments; severity overrides, disabled rules, and suppression filtering
+are applied at report time, so reconfiguring the linter never
 invalidates the cache.
 
 Corpus-scope rules (duplicate slugs, internal links, orphan terms) re-run
@@ -29,6 +32,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, TypeVar
 
+from repro.activities.catalog import scan_content
 from repro.lint import (
     cachefile,
     forksafety,
@@ -67,7 +71,7 @@ Fingerprint = tuple[str, int, int]
 
 
 def _fingerprint(path: Path) -> Fingerprint:
-    """Same scheme as ``catalog._corpus_fingerprint`` / ``rebuild.scan_content``."""
+    """A code file's fingerprint, in the scheme of ``scan_content``."""
     stat = path.stat()
     return (path.name, stat.st_mtime_ns, stat.st_size)
 
@@ -217,10 +221,10 @@ class LintEngine:
 
     # -- per-file analysis (cache-aware) ------------------------------------
 
-    def _analyze_content(self, path: Path) -> tuple[_ContentRow, bool]:
+    def _analyze_content(self, path: Path, fingerprint: Fingerprint
+                         ) -> tuple[_ContentRow, bool]:
         key = str(path)
         try:
-            fingerprint = _fingerprint(path)
             cached = self._content_cache.get(key)
             if cached is not None and cached[0] == fingerprint:
                 return cached, True
@@ -291,6 +295,7 @@ class LintEngine:
     def _partition_changed(
         self, paths: list[Path], allowed: set[str] | None,
         cache: dict, stats: LintStats,
+        fingerprint: Callable[[Path], Fingerprint] = _fingerprint,
     ) -> tuple[list[Path], list]:
         """Split ``paths`` into (to-analyze, cached rows) under --changed.
 
@@ -309,7 +314,7 @@ class LintEngine:
                 continue
             row = cache.get(str(path))
             try:
-                fresh = row is not None and row[0] == _fingerprint(path)
+                fresh = row is not None and row[0] == fingerprint(path)
             except OSError:
                 fresh = False
             if fresh:
@@ -354,16 +359,23 @@ class LintEngine:
     # -- passes --------------------------------------------------------------
 
     def _content_pass(self, stats: LintStats) -> list[Diagnostic]:
-        paths = sorted(Path(self.config.content_dir).glob("*.md"))
+        content_dir = Path(self.config.content_dir)
+        fingerprints = {content_dir / name: (name, *stamp)
+                        for name, stamp in scan_content(content_dir).items()}
+        paths = list(fingerprints)
         stats.files_total += len(paths)
         self._seen_content = {str(path) for path in paths}
         allowed = (set(self.config.changed_only)
                    if self.config.changed_only is not None else None)
         self._allowed_content = allowed
         paths, reused = self._partition_changed(
-            paths, allowed, self._content_cache, stats)
+            paths, allowed, self._content_cache, stats,
+            fingerprints.__getitem__)
         rows = [row for _key, row in reused]
-        rows += self._map(paths, self._analyze_content, stats)
+        rows += self._map(
+            paths,
+            lambda path: self._analyze_content(path, fingerprints[path]),
+            stats)
         rows.sort(key=lambda row: row[3].file)
         suppressions = {row[3].file: row[4] for row in rows}
         diagnostics: list[Diagnostic] = []

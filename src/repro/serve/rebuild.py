@@ -3,8 +3,9 @@
 :class:`ServerState` is one immutable-ish generation of everything the
 server needs: the parsed catalog, the renderable :class:`~repro.sitegen.site.Site`,
 the search index, and the render plan keyed by URL.  :class:`RebuildManager`
-watches the content directory (cheap mtime/size fingerprint, throttled) and,
-when a source file changes, builds the *next* generation and diffs the two
+watches the content directory (cheap mtime/size fingerprint from
+:func:`~repro.activities.catalog.scan_content`, throttled) and, when a
+source file changes, builds the *next* generation and diffs the two
 render plans' signatures — the result names exactly the URLs whose rendered
 bytes changed, which is what the page cache evicts.  Unchanged pages keep
 their signatures, so a subsequent ``site.build(out, incremental=True)``
@@ -12,6 +13,10 @@ their signatures, so a subsequent ``site.build(out, incremental=True)``
 
 Incremental pieces carried across generations:
 
+* parsed sources — the live generation's map of file name to
+  :class:`~repro.activities.catalog.Source` (stamp, ``Activity``,
+  ``Page``); a refresh parses only added or changed files and builds the
+  new catalog and site from the carried-forward objects,
 * build signatures (so a static export after a refresh re-renders only
   dirty files),
 * the search index — patched via
@@ -47,21 +52,13 @@ from pathlib import Path
 from typing import Callable
 
 from repro import sanitize
-from repro.activities.catalog import Catalog, corpus_dir
+from repro.activities.catalog import (Catalog, Scan, Source, corpus_dir,
+                                      load_sources, scan_content)
 from repro.sitegen.search import SearchIndex
 from repro.sitegen.site import RenderTask, Site, SiteConfig
 
 __all__ = ["ServerState", "RebuildManager", "RebuildResult",
            "BackgroundRebuilder", "scan_content"]
-
-
-def scan_content(content_dir: str | Path) -> dict[str, tuple[int, int]]:
-    """Fingerprint a content tree: file name -> (mtime_ns, size)."""
-    directory = Path(content_dir)
-    return {
-        path.name: (path.stat().st_mtime_ns, path.stat().st_size)
-        for path in sorted(directory.glob("*.md"))
-    }
 
 
 class ServerState:
@@ -141,7 +138,6 @@ class RebuildManager:
         self.min_interval_s = min_interval_s
         self.faults = faults
         self._clock = clock
-        self._fingerprint = scan_content(self.content_dir)
         self._last_check = clock()
         self._refresh_lock = threading.Lock()
         # Held across a full rebuild by design: exempt from the stall
@@ -149,12 +145,24 @@ class RebuildManager:
         sanitize.register_lock(self, "_refresh_lock",
                                "RebuildManager._refresh_lock",
                                stall_budget_ms=None)
+        # The live generation's scan and parsed sources.  The cold build
+        # is the refresh build run from the empty map: every file parses.
         # A search_loader (e.g. persisted postings) can skip the cold
         # from_catalog tokenization pass; returning None falls back to it.
-        catalog = Catalog.from_directory(self.content_dir)
-        search = search_loader(catalog) if search_loader is not None else None
-        self.state = ServerState(catalog, config, search=search)
+        self._sources: dict[str, Source] = {}
+        self._fingerprint = scan_content(self.content_dir)
+        self._sources, self.state = self._build(
+            self._fingerprint, search_loader or (lambda _catalog: None))
         self.last_error: str | None = None
+
+    def _build(self, fingerprint: Scan,
+               search_for: Callable[[Catalog], SearchIndex | None],
+               ) -> tuple[dict[str, Source], "ServerState"]:
+        """The generation for ``fingerprint``, parsing only new stamps."""
+        sources = load_sources(self.content_dir, fingerprint, self._sources)
+        catalog = Catalog.from_sources(sources.values())
+        return sources, ServerState(catalog, self.config,
+                                    search=search_for(catalog))
 
     def maybe_refresh(self) -> RebuildResult | None:
         """Throttled change check: no-op within ``min_interval_s`` of the last.
@@ -201,17 +209,20 @@ class RebuildManager:
         try:
             if self.faults is not None:
                 self.faults.maybe_fail("rebuild")
-            catalog = Catalog.from_directory(self.content_dir)
-            search = self.state.search.patched_from_catalog(catalog, dirty_names)
-            new_state = ServerState(catalog, self.config, search=search)
+            sources, new_state = self._build(
+                fingerprint,
+                lambda catalog: self.state.search.patched_from_catalog(
+                    catalog, dirty_names))
         except Exception as exc:           # keep serving the old generation;
-            # the fingerprint is deliberately NOT advanced, so the next
-            # check retries the build instead of waiting for another edit
+            # neither the fingerprint nor the source map is advanced, so
+            # the next check re-parses the broken file instead of waiting
+            # for another edit
             result.error = f"{type(exc).__name__}: {exc}"
             self.last_error = result.error
             result.duration_s = self._clock() - started
             return result
         self._fingerprint = fingerprint
+        self._sources = sources
         result.search_patched = len(dirty_names)
 
         old_sigs = self.state.signatures

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterable, Mapping, Protocol, Sequence
 
 from repro.errors import SiteError
@@ -42,6 +43,14 @@ class PageLike(Protocol):
     def params(self) -> Mapping[str, object]: ...
 
 
+#: Distinct strings the :func:`slugify` memo keeps.  A build slugs the
+#: same few hundred page names, taxonomy names and terms thousands of
+#: times; the bound keeps a long-lived server's memo from growing with
+#: every name it has ever seen.
+SLUG_MEMO_SIZE = 4096
+
+
+@lru_cache(maxsize=SLUG_MEMO_SIZE)
 def slugify(term: str) -> str:
     """Build a URL slug for a term, mirroring Hugo's urlize behaviour."""
     out: list[str] = []

@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import pytest
 
 from repro.activities import Catalog, load_default_catalog
+from repro.activities import catalog as catalog_mod
+from repro.activities.catalog import corpus_dir, scan_content
 from repro.errors import ActivityError
 
 
@@ -136,3 +141,78 @@ class TestCorpusCache:
         load_default_catalog()
         assert len(calls) == 1
         catalog_mod.clear_corpus_cache()
+
+
+def glob_scan(directory) -> dict[str, tuple[int, int]]:
+    """The ``glob("*.md")`` + two-``stat`` scan ``scan_content`` replaced."""
+    return {
+        path.name: (path.stat().st_mtime_ns, path.stat().st_size)
+        for path in sorted(Path(directory).glob("*.md"))
+    }
+
+
+class TestScanContent:
+    """``scan_content`` selects exactly what ``glob("*.md")`` selects."""
+
+    def test_matches_glob_on_a_mixed_tree(self, tmp_path):
+        for name in ("b.md", "a.md", ".x.md", "notes.txt", "UPPER.MD",
+                     "a.md.bak", "mdfile"):
+            (tmp_path / name).write_text(name)
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "sub" / "inner.md").write_text("nested")
+        (tmp_path / "dir.md").mkdir()
+        scan = scan_content(tmp_path)
+        assert list(scan.items()) == list(glob_scan(tmp_path).items())
+        assert list(scan) == [".x.md", "a.md", "b.md", "dir.md"]
+
+    def test_matches_glob_on_the_corpus(self):
+        scan = scan_content(corpus_dir())
+        assert list(scan.items()) == list(glob_scan(corpus_dir()).items())
+        assert len(scan) == 38
+
+    def test_missing_directory_is_empty(self, tmp_path):
+        assert scan_content(tmp_path / "gone") == {} == glob_scan(
+            tmp_path / "gone")
+
+    def test_one_scandir_pass_one_stat_per_file(self, tmp_path, monkeypatch):
+        for name in ("a.md", "b.md", "c.txt"):
+            (tmp_path / name).write_text(name)
+        calls = {"scandir": 0, "stat": 0}
+        real_scandir = os.scandir
+
+        class CountingEntry:
+            def __init__(self, entry):
+                self.name = entry.name
+                self._entry = entry
+
+            def stat(self):
+                calls["stat"] += 1
+                return self._entry.stat()
+
+        class CountingScandir:
+            def __init__(self, path):
+                calls["scandir"] += 1
+                self._it = real_scandir(path)
+
+            def __iter__(self):
+                return (CountingEntry(entry) for entry in self._it)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self._it.close()
+
+        monkeypatch.setattr(catalog_mod.os, "scandir", CountingScandir)
+        assert set(scan_content(tmp_path)) == {"a.md", "b.md"}
+        assert calls == {"scandir": 1, "stat": 2}
+
+
+class TestSourcePages:
+    def test_source_pages_equal_written_round_trip(self):
+        # A catalog built without sources derives each page on demand;
+        # both routes give equal pages.
+        loaded = Catalog.from_directory(corpus_dir())
+        bare = Catalog(loaded.activities)
+        for mine, theirs in zip(loaded.site().pages, bare.site().pages):
+            assert mine == theirs

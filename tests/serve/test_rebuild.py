@@ -217,3 +217,82 @@ class TestIncrementalSearchPatch:
 
         payload = _json.loads(response.body)
         assert [h["name"] for h in payload["hits"]] == ["gardeners"]
+
+
+@pytest.fixture()
+def parse_log(monkeypatch):
+    """File names parsed by ``load_sources`` from now on, in order."""
+    from repro.activities import catalog as catalog_mod
+
+    parsed: list[str] = []
+    real = catalog_mod.parse_activity_file
+
+    def counting(path):
+        parsed.append(os.path.basename(path))
+        return real(path)
+
+    monkeypatch.setattr(catalog_mod, "parse_activity_file", counting)
+    return parsed
+
+
+class TestSourceReuse:
+    """A refresh parses only changed files and reuses everything else."""
+
+    def test_cold_build_parses_every_file(self, content, parse_log):
+        RebuildManager(content, min_interval_s=0.0)
+        assert sorted(parse_log) == sorted(scan_content(content))
+
+    def test_one_file_edit_parses_one_and_reuses_37(self, content, parse_log):
+        manager = RebuildManager(content, min_interval_s=0.0)
+        old = manager.state
+        parse_log.clear()
+        touch_append(content / "gardeners.md", "\nAn extra teaching note.\n")
+        assert manager.refresh().ok
+        assert parse_log == ["gardeners.md"]
+        new = manager.state
+        reused = [name for name in old.catalog.names
+                  if new.catalog.get(name) is old.catalog.get(name)
+                  and new.site.page(name) is old.site.page(name)]
+        assert len(reused) == 37 and "gardeners" not in reused
+        assert new.catalog.get("gardeners") is not old.catalog.get("gardeners")
+
+    def test_broken_edit_is_reparsed_and_a_fix_heals(self, content, parse_log):
+        manager = RebuildManager(content, min_interval_s=0.0)
+        good = manager.state
+        path = content / "gardeners.md"
+        original = path.read_text(encoding="utf-8")
+        path.write_text("---\nbroken: [\n", encoding="utf-8")
+        parse_log.clear()
+        assert not manager.refresh().ok
+        assert not manager.refresh().ok      # the next check retries
+        assert parse_log == ["gardeners.md", "gardeners.md"]
+        assert manager.state is good
+        path.write_text(original + "\nHealed.\n", encoding="utf-8")
+        healed = manager.refresh()
+        assert healed is not None and healed.ok
+        assert manager.last_error is None
+        assert "Healed." in manager.state.site.page("gardeners").body
+        assert manager.refresh() is None
+
+    def test_reuse_map_holds_only_the_live_generation(self, content):
+        manager = RebuildManager(content, min_interval_s=0.0)
+        names = sorted(scan_content(content))
+        parked = {}
+        for step in range(100):
+            name = names[(step * 7) % len(names)]
+            path = content / name
+            if step % 10 == 3:           # delete; restored when next drawn
+                parked[name] = path.read_text(encoding="utf-8")
+                path.unlink()
+            elif name in parked:
+                path.write_text(parked.pop(name), encoding="utf-8")
+            else:
+                touch_append(path, f"\nEdit {step}.\n")
+            assert manager.refresh().ok
+        live = manager.state.catalog
+        sources = manager._sources
+        assert list(sources) == list(scan_content(content))
+        assert len(sources) == len(live)
+        for source in sources.values():
+            assert live.get(source.activity.name) is source.activity
+            assert manager.state.site.page(source.activity.name) is source.page

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from repro.errors import SiteError
 from repro.sitegen.taxonomy import (
     DEFAULT_TAXONOMIES,
+    SLUG_MEMO_SIZE,
     TaxonomyConfig,
     TaxonomyIndex,
     slugify,
@@ -51,6 +52,17 @@ class TestSlugify:
     def test_empty_slug_rejected(self):
         with pytest.raises(SiteError):
             slugify("&&&")
+
+    def test_memo_is_bounded(self):
+        assert slugify.cache_info().maxsize == SLUG_MEMO_SIZE
+        for i in range(SLUG_MEMO_SIZE + 100):
+            assert slugify(f"Term {i}") == f"term-{i}"
+        assert slugify.cache_info().currsize == SLUG_MEMO_SIZE
+
+    def test_memo_does_not_cache_failures(self):
+        for _ in range(2):
+            with pytest.raises(SiteError):
+                slugify("&&&")
 
 
 class TestIndexing:
