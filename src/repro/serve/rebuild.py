@@ -17,11 +17,15 @@ Incremental pieces carried across generations:
   :class:`~repro.activities.catalog.Source` (stamp, ``Activity``,
   ``Page``); a refresh parses only added or changed files and builds the
   new catalog and site from the carried-forward objects,
+* render-plan signatures — :meth:`~repro.sitegen.site.Site.render_plan`
+  is given the live generation's site and hashes only new or changed
+  pages, and the listing pages only when a title, URL or term changed,
 * build signatures (so a static export after a refresh re-renders only
   dirty files),
 * the search index — patched via
   :meth:`~repro.sitegen.search.SearchIndex.patched_from_catalog` for just
-  the changed source documents instead of re-tokenizing all 38.
+  the changed source documents instead of re-tokenizing all 38; every
+  posting set the edit did not touch is shared, not copied.
 
 Refreshing is safe under the multi-worker server: a non-blocking mutex
 ensures exactly one thread rebuilds while the rest keep serving the old
@@ -65,11 +69,15 @@ class ServerState:
     """One generation of the served corpus: catalog + site + plan + search."""
 
     def __init__(self, catalog: Catalog, config: SiteConfig | None = None,
-                 search: SearchIndex | None = None):
+                 search: SearchIndex | None = None,
+                 previous: "ServerState | None" = None):
         self.catalog = catalog
         self.site: Site = catalog.site(config)
         self.search = search if search is not None else SearchIndex.from_catalog(catalog)
-        self.plan: list[RenderTask] = self.site.render_plan()
+        # Signatures of pages and listings the edit did not touch carry
+        # forward from the previous generation; no reference to it is kept.
+        self.plan: list[RenderTask] = self.site.render_plan(
+            previous.site if previous is not None else None)
         self.plan_by_url: dict[str, RenderTask] = {t.url: t for t in self.plan}
         self._corpus_signature: str | None = None
 
@@ -145,11 +153,13 @@ class RebuildManager:
         sanitize.register_lock(self, "_refresh_lock",
                                "RebuildManager._refresh_lock",
                                stall_budget_ms=None)
-        # The live generation's scan and parsed sources.  The cold build
-        # is the refresh build run from the empty map: every file parses.
+        # The live generation's scan, parsed sources and state.  The cold
+        # build is the refresh build run from nothing: every file parses
+        # and every render-plan signature is hashed.
         # A search_loader (e.g. persisted postings) can skip the cold
         # from_catalog tokenization pass; returning None falls back to it.
         self._sources: dict[str, Source] = {}
+        self.state: ServerState | None = None
         self._fingerprint = scan_content(self.content_dir)
         self._sources, self.state = self._build(
             self._fingerprint, search_loader or (lambda _catalog: None))
@@ -162,7 +172,8 @@ class RebuildManager:
         sources = load_sources(self.content_dir, fingerprint, self._sources)
         catalog = Catalog.from_sources(sources.values())
         return sources, ServerState(catalog, self.config,
-                                    search=search_for(catalog))
+                                    search=search_for(catalog),
+                                    previous=self.state)
 
     def maybe_refresh(self) -> RebuildResult | None:
         """Throttled change check: no-op within ``min_interval_s`` of the last.

@@ -13,9 +13,11 @@ The index is *patchable*: documents can be removed and re-added, and
 :meth:`SearchIndex.patched_from_catalog` produces a new index from an old
 one by re-tokenizing only a dirty subset — the serving layer's rebuild
 path uses it so a one-file content edit patches one document's postings
-instead of re-indexing the whole corpus.  The old index is never mutated
-(copy-on-patch), so in-flight queries against the previous generation
-stay consistent.
+instead of re-indexing the whole corpus.  Posting sets are immutable
+``frozenset`` values that every write replaces rather than mutates, so
+a patched index shares every posting set the edit did not touch with
+the index it came from.  The old index is never mutated, so in-flight
+queries against the previous generation stay consistent.
 
 The index is also *persistable*: :meth:`SearchIndex.to_payload` /
 :meth:`SearchIndex.from_payload` round-trip the per-document term counts
@@ -33,6 +35,7 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from repro.errors import SiteError
 
@@ -77,18 +80,22 @@ class _DocEntry:
 
 
 class SearchIndex:
-    """A TF-IDF inverted index over documents with title/tags/body fields."""
+    """A TF-IDF inverted index over documents with title/tags/body fields.
+
+    Posting sets are ``frozenset`` values, replaced on write and never
+    mutated, so indexes derived from one another share every posting set
+    that differs in no document.
+    """
 
     def __init__(self):
         self._docs: dict[str, _DocEntry] = {}
-        self._postings: dict[str, set[str]] = {}
+        self._postings: dict[str, frozenset[str]] = {}
 
     # -- construction -----------------------------------------------------------
 
-    def add_document(self, name: str, title: str, body: str,
-                     tags: list[str] | None = None) -> None:
-        if name in self._docs:
-            raise SiteError(f"duplicate document {name!r}")
+    @staticmethod
+    def _entry(name: str, title: str, body: str,
+               tags: list[str] | None) -> _DocEntry:
         fields = {
             "title": Counter(tokenize(title)),
             "tags": Counter(
@@ -96,30 +103,58 @@ class SearchIndex:
             ),
             "body": Counter(tokenize(body)),
         }
-        entry = _DocEntry(
+        return _DocEntry(
             name=name,
             title=title,
             field_counts=fields,
             length=sum(sum(c.values()) for c in fields.values()) or 1,
         )
-        self._docs[name] = entry
-        for counter in fields.values():
-            for token in counter:
-                self._postings.setdefault(token, set()).add(name)
+
+    def _apply(self, removed: Iterable[_DocEntry] = (),
+               added: Iterable[_DocEntry] = ()) -> None:
+        """Drop ``removed`` and insert ``added``, re-posting touched tokens.
+
+        Every write path goes through here.  Each token a changed document
+        carries gets a new posting set; every other posting set is left as
+        it is (and may be shared with the index this one was derived from).
+        """
+        touched: dict[str, set[str]] = {}
+        postings = self._postings
+        changes = ([(entry, False) for entry in removed]
+                   + [(entry, True) for entry in added])
+        for entry, adding in changes:
+            name = entry.name
+            if adding:
+                if name in self._docs:
+                    raise SiteError(f"duplicate document {name!r}")
+                self._docs[name] = entry
+            else:
+                del self._docs[name]
+            for counter in entry.field_counts.values():
+                for token in counter:
+                    members = touched.get(token)
+                    if members is None:
+                        members = touched[token] = set(postings.get(token, ()))
+                    if adding:
+                        members.add(name)
+                    else:
+                        members.discard(name)
+        for token, members in touched.items():
+            if members:
+                postings[token] = frozenset(members)
+            else:
+                postings.pop(token, None)
+
+    def add_document(self, name: str, title: str, body: str,
+                     tags: list[str] | None = None) -> None:
+        self._apply(added=[self._entry(name, title, body, tags)])
 
     def remove_document(self, name: str) -> bool:
         """Drop ``name`` and its postings; ``False`` when it was absent."""
-        entry = self._docs.pop(name, None)
+        entry = self._docs.get(name)
         if entry is None:
             return False
-        for counter in entry.field_counts.values():
-            for token in counter:
-                names = self._postings.get(token)
-                if names is None:
-                    continue
-                names.discard(name)
-                if not names:
-                    del self._postings[token]
+        self._apply(removed=[entry])
         return True
 
     def update_document(self, name: str, title: str, body: str,
@@ -128,31 +163,33 @@ class SearchIndex:
         self.remove_document(name)
         self.add_document(name, title, body, tags)
 
-    def index_activity(self, activity) -> None:
-        """Add one :class:`~repro.activities.schema.Activity` document."""
+    @classmethod
+    def _activity_entry(cls, activity) -> _DocEntry:
         tags = (activity.cs2013 + activity.tcpp + activity.courses
                 + activity.senses + activity.medium)
         body = "\n".join(activity.sections.values())
-        self.add_document(activity.name, activity.title, body, tags)
+        return cls._entry(activity.name, activity.title, body, tags)
+
+    def index_activity(self, activity) -> None:
+        """Add one :class:`~repro.activities.schema.Activity` document."""
+        self._apply(added=[self._activity_entry(activity)])
 
     @classmethod
     def from_catalog(cls, catalog) -> "SearchIndex":
         """Index a :class:`~repro.activities.catalog.Catalog`."""
         index = cls()
-        for activity in catalog:
-            index.index_activity(activity)
+        index._apply(added=[cls._activity_entry(a) for a in catalog])
         return index
 
     def copy(self) -> "SearchIndex":
-        """Independent copy (documents are shared, postings are not).
+        """Independent copy: later writes to either never reach the other.
 
-        ``_DocEntry`` instances are treated as immutable after insertion,
-        so sharing them is safe; posting sets are mutated by patching and
-        therefore deep-copied.
+        Documents and posting sets are immutable once inserted, so the
+        copy shares all of them and only the two dicts are new.
         """
         clone = type(self)()
         clone._docs = dict(self._docs)
-        clone._postings = {token: set(names) for token, names in self._postings.items()}
+        clone._postings = dict(self._postings)
         return clone
 
     def patched_from_catalog(self, catalog, dirty_names) -> "SearchIndex":
@@ -162,13 +199,17 @@ class SearchIndex:
         and re-added from the catalog when still present (covers edits,
         additions, and deletions in one pass).  The result is
         token-for-token identical to ``from_catalog(catalog)`` as long as
-        ``dirty_names`` covers every changed document.
+        ``dirty_names`` covers every changed document.  It shares every
+        posting set the dirty documents do not touch; this index is never
+        mutated.
         """
         index = self.copy()
-        for name in sorted(set(dirty_names)):
-            index.remove_document(name)
-            if name in catalog:
-                index.index_activity(catalog.get(name))
+        dirty = set(dirty_names)
+        index._apply(
+            removed=[self._docs[n] for n in dirty if n in self._docs],
+            added=[self._activity_entry(catalog.get(n))
+                   for n in dirty if n in catalog],
+        )
         return index
 
     # -- persistence ------------------------------------------------------------
@@ -204,23 +245,18 @@ class SearchIndex:
         those as "start cold" rather than trusting partial data.
         """
         index = cls()
-        for doc in payload["docs"]:
-            name = doc["name"]
-            if name in index._docs:
-                raise SiteError(f"duplicate document {name!r}")
-            fields = {
-                fname: Counter({str(t): int(n) for t, n in counts.items()})
-                for fname, counts in doc["fields"].items()
-            }
-            index._docs[name] = _DocEntry(
-                name=name,
+        index._apply(added=[
+            _DocEntry(
+                name=doc["name"],
                 title=doc["title"],
-                field_counts=fields,
+                field_counts={
+                    fname: Counter({str(t): int(n) for t, n in counts.items()})
+                    for fname, counts in doc["fields"].items()
+                },
                 length=int(doc["length"]),
             )
-            for counter in fields.values():
-                for token in counter:
-                    index._postings.setdefault(token, set()).add(name)
+            for doc in payload["docs"]
+        ])
         return index
 
     # -- queries --------------------------------------------------------------------

@@ -26,6 +26,10 @@ signature matches the previous build, so editing one activity re-renders
 only that page plus the listing pages whose membership or entries changed.
 The serving layer (:mod:`repro.serve`) reuses the same plan to render
 pages on demand and to invalidate exactly the dirty URLs on rebuild.
+``render_plan(previous)`` carries signatures forward from the previous
+generation's site: pages that are the same objects keep their
+signatures, and when no page's name, title, URL or terms changed, every
+listing signature carries over too, so a body edit hashes one page.
 ``Site.build(out, jobs=N)`` renders independent tasks on a thread pool;
 output bytes are identical to a serial build.
 """
@@ -48,6 +52,12 @@ from repro.sitegen.taxonomy import (
     slugify,
 )
 from repro.sitegen.templates import TemplateEnvironment
+from repro.sitegen.views import (
+    accessibility_view,
+    courses_view,
+    cs2013_view,
+    tcpp_view,
+)
 
 __all__ = [
     "Page",
@@ -177,6 +187,22 @@ class RenderTask:
         return self.kind in _PAGE_KINDS
 
 
+@dataclass(frozen=True)
+class _PlanMemo:
+    """What a :meth:`Site.render_plan` leaves for the next generation's."""
+
+    #: page name -> (page, signature, listing entry), in site order.
+    pages: dict[str, tuple[Page, str, tuple]]
+    #: Every input of every listing task: the pages' listing entries.
+    listing_key: tuple
+    #: ``(rel_path, kind, signature, render argument)`` per listing task.
+    listings: tuple[tuple[str, str, str, object], ...]
+
+
+#: The four §II-C browsing views, in plan order.
+_VIEWS = (cs2013_view, tcpp_view, courses_view, accessibility_view)
+
+
 DEFAULT_THEME: dict[str, str] = {
     "base": (
         "<!DOCTYPE html>\n<html><head><title>{{ title }} | {{ site_title }}</title>"
@@ -254,6 +280,8 @@ class Site:
         # rel_path -> signature as of the last build (seedable across
         # Site instances, see seed_signatures()).
         self._built_signatures: dict[str, str] = {}
+        # What the last render_plan() computed, for the next generation's.
+        self._plan_memo: _PlanMemo | None = None
 
     # -- content -----------------------------------------------------------
 
@@ -392,7 +420,8 @@ class Site:
         """Render the four §II-C views under ``<output>/views/``."""
         output = Path(output_dir)
         count = 0
-        for view in self._views():
+        for build_view in _VIEWS:
+            view = build_view(self.index)
             view_dir = output / "views" / slugify(view.name)
             view_dir.mkdir(parents=True, exist_ok=True)
             (view_dir / "index.html").write_text(
@@ -403,7 +432,7 @@ class Site:
 
     # -- build planning ----------------------------------------------------
 
-    def render_plan(self) -> list[RenderTask]:
+    def render_plan(self, previous: "Site | None" = None) -> list[RenderTask]:
         """Enumerate every output file with its content signature.
 
         Signatures are cheap (no rendering happens here) and cover every
@@ -412,57 +441,88 @@ class Site:
         and the full group structure for views — plus the theme/config
         fingerprint.  Two plans agreeing on a signature are guaranteed to
         render byte-identical files.
-        """
-        g = self._global_fingerprint
-        tasks: list[RenderTask] = []
 
+        Signatures carry forward from ``previous`` (the last generation's
+        site, already planned) when it has the same :class:`SiteConfig`
+        and theme.  A page task's signature depends only on the
+        fingerprint and the page itself, so a page that *is* one of
+        ``previous``'s pages keeps its signature and only new or changed
+        pages are hashed.  Every listing task (home, taxonomy indexes,
+        term pages, views) depends only on each page's name, title, URL
+        and terms, so when those all match ``previous``'s, the listing
+        signatures carry forward too and no view is built.  The plan is
+        equal to a fresh ``render_plan()`` either way; ``previous=None``
+        is that fresh plan.  The site keeps no reference to ``previous``.
+        """
+        memo = None
+        if (previous is not None and previous.config == self.config
+                and previous._global_fingerprint == self._global_fingerprint):
+            memo = previous._plan_memo
+        known_pages = memo.pages if memo is not None else {}
+        pages: dict[str, tuple[Page, str, tuple]] = {}
+        page_tasks: list[RenderTask] = []
+        for page in self.pages:
+            known = known_pages.get(page.name)
+            if known is None or known[0] is not page:
+                known = (page, self._page_signature(page),
+                         self._listing_entry(page))
+            pages[page.name] = known
+            page_tasks.append(
+                RenderTask(f"{page.section}/{page.slug}/index.html", "page",
+                           known[1], lambda p=page: self.render_page(p))
+            )
+
+        listing_key = tuple(entry for _page, _sig, entry in pages.values())
+        if memo is not None and memo.listing_key == listing_key:
+            listings = memo.listings
+        else:
+            listings = self._listing_specs()
+        self._plan_memo = _PlanMemo(pages, listing_key, listings)
+
+        home, *rest = (
+            RenderTask(rel_path, kind, signature, self._listing_render(kind, arg))
+            for rel_path, kind, signature, arg in listings
+        )
+        return [home, *page_tasks, *rest]
+
+    def _page_signature(self, page: Page) -> str:
+        return _hash(self._global_fingerprint, "page", page.title, page.body,
+                     sorted(page.params.items(), key=lambda kv: kv[0]),
+                     self._chip_context(page))
+
+    def _listing_entry(self, page: Page) -> tuple:
+        """Everything of ``page`` that any listing task reads."""
+        return (page.name, page.title, page.url,
+                tuple((taxonomy, tuple(terms))
+                      for taxonomy, terms in self.index.page_terms(page)))
+
+    def _listing_specs(self) -> tuple[tuple[str, str, str, object], ...]:
+        """``(rel_path, kind, signature, render argument)`` per listing task."""
+        g = self._global_fingerprint
         listing = sorted(
             ((p.title, p.url) for p in self.pages), key=lambda e: e[0].lower()
         )
-        tasks.append(
-            RenderTask("index.html", "home", _hash(g, "home", listing), self.render_home)
-        )
-
-        for page in self.pages:
-            tasks.append(
-                RenderTask(
-                    f"{page.section}/{page.slug}/index.html",
-                    "page",
-                    _hash(g, "page", page.title, page.body,
-                          sorted(page.params.items(), key=lambda kv: kv[0]),
-                          self._chip_context(page)),
-                    lambda p=page: self.render_page(p),
-                )
-            )
-
+        specs: list[tuple[str, str, str, object]] = [
+            ("index.html", "home", _hash(g, "home", listing), None)
+        ]
         for taxonomy in self.index.taxonomies():
             tax_slug = slugify(taxonomy.name)
             terms = [(t.name, t.url, t.count) for t in taxonomy.sorted_terms()]
-            tasks.append(
-                RenderTask(
-                    f"{tax_slug}/index.html",
-                    "taxonomy",
-                    _hash(g, "taxonomy", taxonomy.name, terms),
-                    lambda n=taxonomy.name: self.render_taxonomy_index(n),
-                )
-            )
+            specs.append((f"{tax_slug}/index.html", "taxonomy",
+                          _hash(g, "taxonomy", taxonomy.name, terms),
+                          taxonomy.name))
             for term in taxonomy.terms.values():
                 members = sorted(
                     ((p.title, p.url) for p in term.pages),
                     key=lambda e: e[0].lower(),
                 )
-                tasks.append(
-                    RenderTask(
-                        f"{tax_slug}/{term.slug}/index.html",
-                        "term",
-                        _hash(g, "term", taxonomy.name, term.name, members),
-                        lambda tx=taxonomy.name, tm=term.name:
-                            self.render_term_page(tx, tm),
-                    )
-                )
+                specs.append((f"{tax_slug}/{term.slug}/index.html", "term",
+                              _hash(g, "term", taxonomy.name, term.name, members),
+                              (taxonomy.name, term.name)))
 
         if "view" in self.env:
-            for view in self._views():
+            for build_view in _VIEWS:
+                view = build_view(self.index)
                 structure = [
                     (grp.term,
                      [(e.title, e.url) for e in grp.entries],
@@ -470,27 +530,21 @@ class Site:
                       for sg in grp.subgroups])
                     for grp in view.groups
                 ]
-                tasks.append(
-                    RenderTask(
-                        f"views/{slugify(view.name)}/index.html",
-                        "view",
-                        _hash(g, "view", view.name, structure),
-                        lambda v=view: self.render_view(v),
-                    )
-                )
-        return tasks
+                specs.append((f"views/{slugify(view.name)}/index.html", "view",
+                              _hash(g, "view", view.name, structure),
+                              build_view))
+        return tuple(specs)
 
-    def _views(self) -> list:
-        """The four §II-C browsing views over the current index."""
-        from repro.sitegen.views import (
-            accessibility_view,
-            courses_view,
-            cs2013_view,
-            tcpp_view,
-        )
-
-        return [cs2013_view(self.index), tcpp_view(self.index),
-                courses_view(self.index), accessibility_view(self.index)]
+    def _listing_render(self, kind: str, arg) -> Callable[[], str]:
+        """The render thunk of one listing task, bound to this site."""
+        if kind == "home":
+            return self.render_home
+        if kind == "taxonomy":
+            return lambda: self.render_taxonomy_index(arg)
+        if kind == "term":
+            return lambda: self.render_term_page(*arg)
+        # Views are built from this site's index when rendered, not planned.
+        return lambda: self.render_view(arg(self.index))
 
     @property
     def built_signatures(self) -> dict[str, str]:

@@ -183,7 +183,7 @@ class TaxonomyIndex:
         self._pages.append(page)
         if self.strategy != "indexed":
             return
-        for tax_name, terms in self._page_terms(page):
+        for tax_name, terms in self.page_terms(page):
             taxonomy = self._taxonomies[tax_name]
             for term_name in terms:
                 term = taxonomy.terms.setdefault(term_name, Term(tax_name, term_name))
@@ -193,7 +193,12 @@ class TaxonomyIndex:
         for page in pages:
             self.add_page(page)
 
-    def _page_terms(self, page: PageLike) -> Iterable[tuple[str, list[str]]]:
+    def page_terms(self, page: PageLike) -> Iterable[tuple[str, list[str]]]:
+        """``(taxonomy, terms)`` for each configured taxonomy ``page`` declares.
+
+        Terms are de-duplicated in declaration order: exactly what
+        :meth:`add_page` indexes.
+        """
         for tax_name in self.configs:
             raw = page.params.get(tax_name)
             if raw is None:
@@ -234,7 +239,7 @@ class TaxonomyIndex:
             raise SiteError(f"unknown taxonomy {name!r}")
         taxonomy = Taxonomy(self.configs[name])
         for page in self._pages:
-            for tax_name, terms in self._page_terms(page):
+            for tax_name, terms in self.page_terms(page):
                 if tax_name != name:
                     continue
                 for term_name in terms:
@@ -287,7 +292,7 @@ class TaxonomyIndex:
                             f"term {term.name!r} references unregistered page {page.name!r}"
                         )
         for page in self._pages:
-            for tax_name, terms in self._page_terms(page):
+            for tax_name, terms in self.page_terms(page):
                 taxonomy = self.taxonomy(tax_name)
                 for term_name in terms:
                     if term_name not in taxonomy.terms or not any(

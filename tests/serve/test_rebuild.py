@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import os
 import shutil
+from collections import Counter
 
 import pytest
 
 from repro.activities.catalog import corpus_dir
 from repro.serve import ServeApp, create_app
 from repro.serve.loadgen import call_app
-from repro.serve.rebuild import RebuildManager, scan_content
+from repro.serve.rebuild import RebuildManager, ServerState, scan_content
 
 
 @pytest.fixture()
@@ -296,3 +297,89 @@ class TestSourceReuse:
         for source in sources.values():
             assert live.get(source.activity.name) is source.activity
             assert manager.state.site.page(source.activity.name) is source.page
+
+
+class TestPlanReuse:
+    """A refresh hashes only the tasks its edit can change."""
+
+    KINDS = {"home", "page", "taxonomy", "term", "view"}
+
+    @pytest.fixture()
+    def hashed(self, monkeypatch):
+        """``(kind, subject)`` of every task signature hashed."""
+        import repro.sitegen.site as site_mod
+
+        log = []
+        real = site_mod._hash
+
+        def logged(*parts):
+            if parts[1] in self.KINDS:
+                log.append(parts[1:3])
+            return real(*parts)
+
+        monkeypatch.setattr(site_mod, "_hash", logged)
+        return log
+
+    @pytest.fixture()
+    def views_built(self, monkeypatch):
+        import repro.sitegen.views as views_mod
+
+        log = []
+        real = views_mod._groups_for
+
+        def logged(index, taxonomy):
+            log.append(taxonomy)
+            return real(index, taxonomy)
+
+        monkeypatch.setattr(views_mod, "_groups_for", logged)
+        return log
+
+    def test_body_edit_hashes_one_page_and_no_listing(self, content, hashed,
+                                                      views_built):
+        manager = RebuildManager(content, min_interval_s=0.0)
+        hashed.clear()
+        views_built.clear()
+        touch_append(content / "gardeners.md", "\nAn extra teaching note.\n")
+        result = manager.refresh()
+        assert result.ok and result.dirty_urls == ["/activities/gardeners/"]
+        assert hashed == [("page", "Gardeners")]
+        assert views_built == []            # no view is built at plan time
+        body = manager.state.plan_by_url["/views/courses/"].render()
+        assert views_built and "Gardeners" in body
+
+    def test_title_edit_rehashes_the_listings(self, content, hashed):
+        manager = RebuildManager(content, min_interval_s=0.0)
+        hashed.clear()
+        path = content / "gardeners.md"
+        path.write_text(path.read_text(encoding="utf-8").replace(
+            'title: "Gardeners"', 'title: "Allotment Gardeners"', 1),
+            encoding="utf-8")
+        assert manager.refresh().ok
+        kinds = Counter(kind for kind, _subject in hashed)
+        assert kinds["page"] == 1 and kinds["home"] == 1
+        assert kinds["taxonomy"] == 7 and kinds["view"] == 4
+        assert kinds["term"] == sum(
+            1 for task in manager.state.plan if task.kind == "term")
+        fresh = ServerState.from_content_dir(content)
+        assert manager.state.signatures == fresh.signatures
+
+    def test_changed_config_hashes_everything(self, content, hashed):
+        from repro.sitegen.site import SiteConfig
+
+        manager = RebuildManager(content, min_interval_s=0.0)
+        hashed.clear()
+        state = ServerState(manager.state.catalog,
+                            SiteConfig(title="Mirror"), previous=manager.state)
+        assert len(hashed) == len(state.plan)
+
+    def test_previous_generation_is_released(self, content):
+        import gc
+        import weakref
+
+        manager = RebuildManager(content, min_interval_s=0.0)
+        old = weakref.ref(manager.state)
+        old_site = weakref.ref(manager.state.site)
+        touch_append(content / "gardeners.md", "\nAn extra teaching note.\n")
+        assert manager.refresh().ok
+        gc.collect()
+        assert old() is None and old_site() is None

@@ -1,7 +1,9 @@
 """Property test: an incremental refresh equals a fresh build of the tree.
 
-Random sequences of body edits, ``medium`` tag edits, adds, deletes and
-unparseable edits run against a small corpus copy.  After every refresh
+Random sequences of body edits, title edits, ``medium`` tag edits, adds,
+deletes and unparseable edits run against a small corpus copy.  One of
+the ``medium`` terms is used by no file, so its term page appears and
+vanishes.  After every refresh
 the live generation must equal ``ServerState.from_content_dir`` of the
 same tree — signatures, corpus signature, search hits and every rendered
 body — and the generation it replaced must be unchanged.
@@ -33,14 +35,21 @@ INITIAL = ("findsmallestcard", "gardeners", "diningphilosophers",
            "parallelradixsort", "laundrypipeline")
 SPARE = ("concerttickets", "roadtripamdahl")
 NAMES = INITIAL + SPARE
-MEDIA = ("analogy", "cards", "food", "roleplay", "paper", "board")
+#: ``origami`` is a medium no corpus file uses.
+MEDIA = ("analogy", "cards", "food", "roleplay", "paper", "board", "origami")
+#: Titles that reorder the listings; one ties another title
+#: case-insensitively.
+TITLES = ("Aardvark Relay", "zebra crossing", "gardeners", "Middle Ground")
 FIXED_QUERIES = ("cards", "parallel", "sort", "analogy", "philosophers")
 BROKEN = "---\nbroken: [\n"
 _MEDIUM = re.compile(r"^medium: (\[.*\])$", re.MULTILINE)
+_TITLE = re.compile(r"^title: .*$", re.MULTILINE)
 
 ops = st.one_of(
     st.tuples(st.just("body"), st.sampled_from(NAMES),
               st.integers(0, 10**6)),
+    st.tuples(st.just("title"), st.sampled_from(NAMES),
+              st.sampled_from(TITLES)),
     st.tuples(st.just("medium"), st.sampled_from(NAMES),
               st.sampled_from(MEDIA)),
     st.tuples(st.just("add"), st.sampled_from(NAMES)),
@@ -110,6 +119,9 @@ class Tree:
             token = f"pbtoken{op[2]}x{len(self.tokens)}"
             self.tokens.append(token)
             self._write(name, self.good[name] + f"\nA note on {token}.\n")
+        elif kind == "title" and present:
+            self._write(name, _TITLE.sub(f"title: {json.dumps(op[2])}",
+                                         self.good[name], count=1))
         elif kind == "medium" and present:
             self._write(name, toggle_medium(self.good[name], op[2]))
         elif kind == "break" and present:

@@ -208,3 +208,81 @@ class TestPatchedFromCatalog:
         index.patched_from_catalog(Catalog.from_directory(content),
                                    {"gardeners"})
         assert self._results(index) == before
+
+
+class TestSharedPostings:
+    """Posting sets are immutable and shared between derived indexes."""
+
+    @staticmethod
+    def _tokens(index, names) -> set[str]:
+        return {token for name in names if name in index._docs
+                for counter in index._docs[name].field_counts.values()
+                for token in counter}
+
+    def test_postings_are_frozen(self):
+        index = SearchIndex()
+        index.add_document("a", "Alpha", "shared words here")
+        index.add_document("b", "Beta", "shared words there")
+        assert all(isinstance(names, frozenset)
+                   for names in index._postings.values())
+        assert index._postings["shared"] == {"a", "b"}
+
+    def test_copy_shares_postings_and_stays_independent(self):
+        index = SearchIndex()
+        index.add_document("a", "Alpha", "shared words here")
+        clone = index.copy()
+        assert clone._postings["shared"] is index._postings["shared"]
+        clone.add_document("b", "Beta", "shared words there")
+        clone.remove_document("a")
+        assert index._postings["shared"] == {"a"}
+        assert [h.name for h in index.search("here")] == ["a"]
+        assert index.search("there") == []
+
+    def test_random_patches_share_untouched_postings(self):
+        import dataclasses
+        import random
+
+        from repro.activities.catalog import Catalog, load_default_catalog
+
+        rng = random.Random(14)
+        pool = {a.name: a for a in load_default_catalog()}
+        live = dict(pool)
+        index = SearchIndex.from_catalog(Catalog(live.values()))
+        for step in range(100):
+            dirty = set(rng.sample(sorted(pool), rng.randint(1, 3)))
+            for name in sorted(dirty):
+                roll = rng.random()
+                if name not in live:
+                    live[name] = pool[name]
+                elif roll < 0.25:
+                    del live[name]
+                elif roll < 0.5:
+                    live[name] = dataclasses.replace(
+                        live[name], title=f"Retitled {step}")
+                elif roll < 0.75:
+                    live[name] = dataclasses.replace(
+                        live[name], medium=live[name].medium + [f"m{step}"])
+                else:
+                    sections = dict(live[name].sections)
+                    sections["extra"] = f"patch{step} words"
+                    live[name] = dataclasses.replace(live[name],
+                                                     sections=sections)
+            catalog = Catalog(sorted(live.values(), key=lambda a: a.name))
+            snapshot = dict(index._postings), dict(index._docs)
+            patched = index.patched_from_catalog(catalog, dirty)
+
+            # The previous index is untouched, down to object identity.
+            assert index._postings == snapshot[0]
+            assert all(index._postings[t] is names
+                       for t, names in snapshot[0].items())
+            assert index._docs == snapshot[1]
+            # Every posting set no dirty document touches is shared.
+            touched = self._tokens(index, dirty) | self._tokens(patched, dirty)
+            for token, names in index._postings.items():
+                if token not in touched:
+                    assert patched._postings[token] is names, token
+            # And the patch equals a full rebuild.
+            fresh = SearchIndex.from_catalog(catalog)
+            assert patched._postings == fresh._postings
+            assert patched.to_payload() == fresh.to_payload()
+            index = patched
