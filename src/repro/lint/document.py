@@ -20,7 +20,7 @@ from repro.activities.schema import Activity
 from repro.errors import ReproError
 from repro.lint.diagnostics import Suppressions, markdown_suppressions
 from repro.lint.links import InternalRef, extract_internal_refs, heading_anchors
-from repro.sitegen import frontmatter
+from repro.sitegen import frontmatter, markdown
 from repro.sitegen.taxonomy import slugify
 
 __all__ = ["DocumentInfo", "ParsedDocument", "load_document"]
@@ -112,6 +112,7 @@ def load_document(file: str | Path, text: str | None = None) -> ParsedDocument:
 
     title = doc.activity.title if doc.activity else str(
         doc.params.get("title", ""))
+    tree = markdown.parse(body)
     doc.info = DocumentInfo(
         file=doc.file,
         name=name,
@@ -119,9 +120,10 @@ def load_document(file: str | Path, text: str | None = None) -> ParsedDocument:
         title=title,
         title_line=doc.key_line("title"),
         url=f"/activities/{name}/",
-        anchors=heading_anchors(body),
+        anchors=heading_anchors(body, tree),
         internal_refs=tuple(
-            extract_internal_refs(body, line_offset=doc.body_offset)
+            extract_internal_refs(body, line_offset=doc.body_offset,
+                                  tree=tree)
         ),
         terms=tuple(
             (key, tuple(getattr(doc.activity, key)) if doc.activity

@@ -1,4 +1,4 @@
-"""The lint engine: incremental, parallel, deterministic.
+"""The lint engine: incremental, deterministic, in proportion to the edit.
 
 Incrementality keys content files on
 :func:`~repro.activities.catalog.scan_content` — the one scan the
@@ -12,11 +12,17 @@ comments; severity overrides, disabled rules, and suppression filtering
 are applied at report time, so reconfiguring the linter never
 invalidates the cache.
 
-Corpus-scope rules (duplicate slugs, internal links, orphan terms) re-run
-on every lint over the cached ``DocumentInfo`` set — they are cheap, and
-their verdicts legitimately depend on files that did *not* change.
+Corpus-scope verdicts (duplicate slugs, internal links, orphan terms,
+the site pass, cross-class lock order, fork safety) legitimately depend
+on files that did *not* change, but they are pure functions of their
+inputs: the ``DocumentInfo`` tuple for the content and site scopes, the
+per-file code rows for the code scope.  Each scope keeps its last result
+in a one-slot memo and reuses it while those inputs compare equal, so a
+body edit that leaves every ``DocumentInfo`` equal re-runs no corpus
+rule.  A computation that crashed is never stored.
 
-Parallelism fans per-file analysis out over a thread pool; results are
+Fresh cache rows are served inline; only when two or more files need
+analysis does ``jobs > 1`` fan them out over a thread pool.  Results are
 keyed by filename and the final report is globally sorted by
 :func:`~repro.lint.diagnostics.sort_key`, so parallel output is
 byte-identical to serial output.
@@ -166,6 +172,8 @@ class LintEngine:
         self._lock = threading.Lock()    # serializes lint(); caches below
         self._content_cache: dict[str, _ContentRow] = {}
         self._code_cache: dict[str, _CodeRow] = {}
+        #: scope -> (key, result): the last corpus-scope verdict per scope.
+        self._memos: dict[str, tuple[object, tuple]] = {}
         self._persistent_loaded = False
         self._cache_dirty = False
 
@@ -204,30 +212,18 @@ class LintEngine:
     def _note_internal_error(self, label: str, file: str,
                              exc: BaseException) -> None:
         """Record a crash as a synthetic diagnostic + stderr traceback."""
-        self._internal_stats_errors += 1
         self._internal_diags.append(make(
             "lint-internal-error", file, 0, 0,
             f"{label} crashed: {type(exc).__name__}: {exc}"))
         print(f"lint-internal-error [{label}] {file}:", file=sys.stderr)
         traceback.print_exc(file=sys.stderr)
 
-    def _guard(self, label: str, file: str, fn: Callable[[], _T],
-               fallback: _T) -> _T:
-        try:
-            return fn()
-        except Exception as exc:  # noqa: BLE001 - containment is the point
-            self._note_internal_error(label, file, exc)
-            return fallback
-
     # -- per-file analysis (cache-aware) ------------------------------------
 
-    def _analyze_content(self, path: Path, fingerprint: Fingerprint
-                         ) -> tuple[_ContentRow, bool]:
+    def _analyze_content(self, path: Path,
+                         fingerprint: Fingerprint) -> _ContentRow:
         key = str(path)
         try:
-            cached = self._content_cache.get(key)
-            if cached is not None and cached[0] == fingerprint:
-                return cached, True
             doc = load_document(path)
             row: _ContentRow = (fingerprint,
                                 tuple(rules_content.run_per_file(doc)),
@@ -242,18 +238,15 @@ class LintEngine:
                 title_line=0, url=f"/activities/{path.stem}/",
                 anchors=frozenset(), internal_refs=(), terms=(),
                 parse_failed=True)
-            return ((key, -1, -1), (), (), info, Suppressions()), False
+            return (key, -1, -1), (), (), info, Suppressions()
         self._content_cache[key] = row
         self._cache_dirty = True
-        return row, False
+        return row
 
-    def _analyze_code(self, path: Path) -> tuple[_CodeRow, bool]:
+    def _analyze_code(self, path: Path) -> _CodeRow:
         key = str(path)
         try:
             fingerprint = _fingerprint(path)
-            cached = self._code_cache.get(key)
-            if cached is not None and cached[0] == fingerprint:
-                return cached, True
             source = path.read_text(encoding="utf-8")
             diags, fixes, summaries, fork = rules_code.analyze_source_full(
                 key, source)
@@ -261,34 +254,75 @@ class LintEngine:
                              python_suppressions(source), summaries, fork)
         except Exception as exc:  # noqa: BLE001 - containment is the point
             self._note_internal_error(f"code:{path.name}", key, exc)
-            return ((key, -1, -1), (), (), Suppressions(), (), None), False
+            return (key, -1, -1), (), (), Suppressions(), (), None
         self._code_cache[key] = row
         self._cache_dirty = True
-        return row, False
+        return row
 
-    def _map(self, paths: list[Path], analyze, stats: LintStats,
-             jobs: int | None = None) -> list:
-        """Apply ``analyze`` over ``paths``, optionally in parallel.
+    @staticmethod
+    def _fresh_row(cache: dict, path: Path,
+                   fingerprint: Callable[[Path], Fingerprint]):
+        """The cached row for ``path`` if its fingerprint still matches."""
+        row = cache.get(str(path))
+        if row is None:
+            return None
+        try:
+            return row if row[0] == fingerprint(path) else None
+        except OSError:
+            return None
 
-        Results come back ordered by input path regardless of worker
-        scheduling, and stats are tallied serially afterwards; the final
-        global sort makes parallel output byte-identical to serial output.
-        ``jobs`` overrides the configured width for passes that must not
-        fan out.
+    def _map(self, paths: list[Path], cache: dict,
+             fingerprint: Callable[[Path], Fingerprint],
+             analyze: Callable[[Path], _T], stats: LintStats) -> list[_T]:
+        """Rows for ``paths`` in input order: cached when fresh, else analyzed.
+
+        Fresh cache rows are served inline; the files left to analyze fan
+        out over a thread pool only when ``jobs > 1`` and there are at
+        least two of them, so a one-file re-lint starts no threads.  The
+        final global sort makes parallel output byte-identical to serial
+        output.
         """
-        if jobs is None:
-            jobs = self.config.jobs
-        if jobs > 1 and len(paths) > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(analyze, paths))
-        else:
-            results = [analyze(path) for path in paths]
-        for _row, was_cached in results:
-            if was_cached:
-                stats.files_cached += 1
+        rows = {}
+        missing: list[Path] = []
+        for path in paths:
+            row = self._fresh_row(cache, path, fingerprint)
+            if row is None:
+                missing.append(path)
             else:
-                stats.files_analyzed += 1
-        return [row for row, _was_cached in results]
+                rows[path] = row
+        stats.files_cached += len(rows)
+        stats.files_analyzed += len(missing)
+        if self.config.jobs > 1 and len(missing) > 1:
+            with ThreadPoolExecutor(max_workers=self.config.jobs) as pool:
+                rows.update(zip(missing, pool.map(analyze, missing)))
+        else:
+            rows.update((path, analyze(path)) for path in missing)
+        return [rows[path] for path in paths]
+
+    # -- corpus-scope memo ---------------------------------------------------
+
+    def _memo(self, scope: str, key: object,
+              compute: Callable[[], Iterable[_T]]) -> tuple[_T, ...]:
+        """``compute()``, reused while ``scope``'s ``key`` compares equal.
+
+        Corpus-scope verdicts are pure functions of their inputs, so an
+        equal key gives an equal result.  Keys are compared with ``==``
+        (tuple equality short-circuits on identity, so unchanged cache
+        rows cost nothing), never by ``id()``, which a freed row's
+        successor may reuse.  A crash is contained as a
+        ``lint-internal-error`` and never stored, so the diagnostic
+        reappears on every run until the crash is gone.
+        """
+        slot = self._memos.get(scope)
+        if slot is not None and slot[0] == key:
+            return slot[1]
+        try:
+            result = tuple(compute())
+        except Exception as exc:  # noqa: BLE001 - containment is the point
+            self._note_internal_error(scope, "<lint>", exc)
+            return ()
+        self._memos[scope] = (key, result)
+        return result
 
     # -- --changed restriction ----------------------------------------------
 
@@ -312,12 +346,8 @@ class LintEngine:
             if str(path.resolve()) in allowed:
                 analyze.append(path)
                 continue
-            row = cache.get(str(path))
-            try:
-                fresh = row is not None and row[0] == fingerprint(path)
-            except OSError:
-                fresh = False
-            if fresh:
+            row = self._fresh_row(cache, path, fingerprint)
+            if row is not None:
                 reused.append((str(path), row))
                 stats.files_cached += 1
             else:
@@ -373,7 +403,7 @@ class LintEngine:
             fingerprints.__getitem__)
         rows = [row for _key, row in reused]
         rows += self._map(
-            paths,
+            paths, self._content_cache, fingerprints.__getitem__,
             lambda path: self._analyze_content(path, fingerprints[path]),
             stats)
         rows.sort(key=lambda row: row[3].file)
@@ -385,27 +415,29 @@ class LintEngine:
             diagnostics.extend(diags)
             fixes.extend(file_fixes)
             infos.append(info)
+        # DocumentInfo is frozen: equal info tuples give equal verdicts.
+        self._infos = tuple(infos)
         if self.config.content:
-            diagnostics.extend(self._guard(
-                "content-corpus", "<lint>",
-                lambda: rules_content.run_corpus(infos), []))
-            fixes.extend(self._guard(
-                "content-corpus-fixes", "<lint>",
-                lambda: fixes_for_corpus(infos), []))
+            diagnostics.extend(self._memo(
+                "content-corpus", self._infos,
+                lambda: rules_content.run_corpus(self._infos)))
+            fixes.extend(self._memo(
+                "content-corpus-fixes", self._infos,
+                lambda: fixes_for_corpus(self._infos)))
         else:
             diagnostics = []
             fixes = []
-        self._infos = infos
         self._content_suppressions = suppressions
         self._raw_fixes = fixes
         return diagnostics
 
-    def _site_pass(self) -> list[Diagnostic]:
-        return rules_site.run_site(
-            self._infos,
-            theme=self.config.theme,
-            archetype_sections=self.config.archetype_sections,
-        )
+    def _site_pass(self) -> tuple[Diagnostic, ...]:
+        config = self.config
+        return self._memo(
+            "site", (self._infos, config.theme, config.archetype_sections),
+            lambda: rules_site.run_site(
+                self._infos, theme=config.theme,
+                archetype_sections=config.archetype_sections))
 
     def _code_pass(self, stats: LintStats) -> list[Diagnostic]:
         code_dir = self.config.code_dir
@@ -435,7 +467,8 @@ class LintEngine:
         # GC behind a *counting* guard (CPython 3.11 SystemError
         # workaround), so concurrent parses are safe.
         rows = {str(p): row for p, row in
-                zip(paths, self._map(paths, self._analyze_code, stats))}
+                zip(paths, self._map(paths, self._code_cache, _fingerprint,
+                                     self._analyze_code, stats))}
         rows.update(dict(reused))
         diagnostics: list[Diagnostic] = []
         summaries: list[lockgraph.ClassSummary] = []
@@ -447,15 +480,15 @@ class LintEngine:
             self._raw_fixes.extend(fixes)
             summaries.extend(file_summaries)
             fork_summaries.append(fork)
-        # Corpus scope, like the content corpus rules: cheap to re-run
-        # over cached summaries, and their verdicts legitimately depend
-        # on files that did not change.
-        diagnostics.extend(self._guard(
-            "cross-class-locks", "<lint>",
-            lambda: lockgraph.analyze_cross_class(summaries), []))
-        diagnostics.extend(self._guard(
-            "fork-safety", "<lint>",
-            lambda: forksafety.analyze_corpus(fork_summaries), []))
+        # Corpus scope: its verdicts depend on files that did not change,
+        # so it re-runs whenever any row differs from the last run's.
+        key = tuple(sorted(rows.items()))
+        diagnostics.extend(self._memo(
+            "cross-class-locks", key,
+            lambda: lockgraph.analyze_cross_class(summaries)))
+        diagnostics.extend(self._memo(
+            "fork-safety", key,
+            lambda: forksafety.analyze_corpus(fork_summaries)))
         return diagnostics
 
     # -- the run -------------------------------------------------------------
@@ -465,14 +498,13 @@ class LintEngine:
         with self._lock:
             self._load_persistent()
             stats = LintStats()
-            self._infos = []
+            self._infos: tuple[DocumentInfo, ...] = ()
             self._content_suppressions: dict[str, Suppressions] = {}
             self._code_suppressions: dict[str, Suppressions] = {}
             self._raw_fixes: list[Fix] = []
             self._seen_content: set[str] = set()
             self._seen_code: set[str] = set()
             self._internal_diags: list[Diagnostic] = []
-            self._internal_stats_errors = 0
             self._allowed_content: set[str] | None = None
             self._allowed_code: set[str] | None = None
             raw: list[Diagnostic] = []
@@ -480,12 +512,11 @@ class LintEngine:
             # DocumentInfos) even when the content pass itself is disabled.
             raw.extend(self._content_pass(stats))
             if self.config.site:
-                raw.extend(self._guard("site", "<lint>",
-                                       self._site_pass, []))
+                raw.extend(self._site_pass())
             if self.config.code:
                 raw.extend(self._code_pass(stats))
             raw.extend(self._internal_diags)
-            stats.internal_errors = self._internal_stats_errors
+            stats.internal_errors = len(self._internal_diags)
             diagnostics, fixes = self._finalize(raw, self._raw_fixes, stats)
             self._save_persistent(self._seen_content, self._seen_code)
             return LintResult(diagnostics=diagnostics, stats=stats,

@@ -60,7 +60,7 @@ def _is_internal(target: str) -> bool:
     return not any(lowered.startswith(scheme) for scheme in _EXTERNAL_SCHEMES)
 
 
-def _link_targets(body: str) -> list[str]:
+def _link_targets(tree: markdown.Document) -> list[str]:
     """Every link/image target in document order (AST walk)."""
     targets: list[str] = []
 
@@ -89,17 +89,20 @@ def _link_targets(body: str) -> list[str]:
                     for cell in row:
                         walk_inlines(cell)
 
-    walk_blocks(markdown.parse(body).children)
+    walk_blocks(tree.children)
     return targets
 
 
-def extract_internal_refs(body: str, line_offset: int = 0) -> list[InternalRef]:
+def extract_internal_refs(body: str, line_offset: int = 0,
+                          tree: markdown.Document | None = None,
+                          ) -> list[InternalRef]:
     """All internal references in ``body``, with source positions.
 
     ``line_offset`` is added to every reported line, so callers passing a
     body extracted from below a front-matter header (see
     :func:`repro.sitegen.frontmatter.split_document_with_lines`) get
-    document-absolute lines.
+    document-absolute lines.  ``tree`` is ``markdown.parse(body)`` when
+    the caller already has it.
     """
     refs: list[InternalRef] = []
     lines = body.split("\n")
@@ -120,7 +123,9 @@ def extract_internal_refs(body: str, line_offset: int = 0) -> list[InternalRef]:
                 return idx + 1, pos + 2 if lines[idx][pos] == "(" else pos + 1
         return 1, 1
 
-    for target in _link_targets(body):
+    if tree is None:
+        tree = markdown.parse(body)
+    for target in _link_targets(tree):
         if not _is_internal(target):
             continue
         path, _, fragment = target.partition("#")
@@ -130,10 +135,16 @@ def extract_internal_refs(body: str, line_offset: int = 0) -> list[InternalRef]:
     return refs
 
 
-def heading_anchors(body: str) -> frozenset[str]:
-    """Slugs of every heading in ``body`` (the linkable ``#fragment`` set)."""
+def heading_anchors(body: str, tree: markdown.Document | None = None,
+                    ) -> frozenset[str]:
+    """Slugs of every heading in ``body`` (the linkable ``#fragment`` set).
+
+    ``tree`` is ``markdown.parse(body)`` when the caller already has it.
+    """
+    if tree is None:
+        tree = markdown.parse(body)
     anchors: set[str] = set()
-    for block in markdown.parse(body).children:
+    for block in tree.children:
         if isinstance(block, markdown.Heading):
             text = "".join(c.to_text() for c in block.children)
             if text.strip():

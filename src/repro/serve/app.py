@@ -855,8 +855,10 @@ class ServeApp:
             # Sharing the serve cache directory persists the lint
             # fingerprint table too, so a freshly started server's first
             # /api/lint re-analyzes only files changed since the last run.
+            # Serial: analysis is pure Python, so under the GIL a thread
+            # pool only slows a cold lint down.
             engine = LintEngine(LintConfig(
-                content_dir=self.rebuilder.content_dir, jobs=4,
+                content_dir=self.rebuilder.content_dir,
                 cache_dir=self.store.root if self.store is not None
                 else None))
         result = engine.lint()
